@@ -16,10 +16,12 @@ and activated without building indexes, so recovering a 10k-record
 journal costs hashes and vstacks, not 10k tree builds -- the head's
 index comes from the store's warm tier or one cold build afterwards.
 
-Idempotence: a record whose committed fingerprint is already active in
-the registry's chain is skipped, so calling recovery twice (or
-recovering a journal whose tail the caller already applied) cannot
-double-apply a batch.
+Idempotence: the records the registry's chain already ends with
+(checkpoint, then the first records in order) are skipped, so calling
+recovery twice (or recovering a journal whose tail the caller already
+applied) cannot double-apply a batch.  Matching by chain position, not
+by membership, keeps a record whose content equals an earlier version
+(insert rows, then delete exactly those rows) from being skipped.
 """
 
 from __future__ import annotations
@@ -75,6 +77,17 @@ def journal_roots(journal_dir: str) -> List[str]:
                   if os.path.isdir(os.path.join(journal_dir, name)))
 
 
+def _applied_prefix(chain: List[str], checkpoint: str,
+                    fingerprints: List[str]) -> int:
+    """How many leading records the chain already holds: the largest
+    ``k`` such that the chain ends with the checkpoint followed by the
+    first ``k`` record fingerprints (0 when it ends elsewhere)."""
+    for k in range(min(len(fingerprints), len(chain) - 1), 0, -1):
+        if chain[-k - 1] == checkpoint and chain[-k:] == fingerprints[:k]:
+            return k
+    return 0
+
+
 def replay_journal(journal: MutationJournal, registry,
                    root: str) -> RecoveryReport:
     """Re-apply one journal's committed records onto ``registry``.
@@ -97,14 +110,12 @@ def replay_journal(journal: MutationJournal, registry,
         raise RecoveryError(
             f"checkpoint content hashes to {ck_fp}, manifest says "
             f"{meta['fingerprint']} -- snapshot corrupt")
+    records = list(journal.records(after_seq=int(meta["seq"])))
+    skipped = _applied_prefix(registry.chain(ck_fp), ck_fp,
+                              [rec.fingerprint for rec in records])
     cur_fp = registry.resolve(ck_fp).fingerprint
-    replayed = skipped = 0
-    for rec in journal.records(after_seq=int(meta["seq"])):
-        if registry.version_of(rec.fingerprint) >= 0:
-            # already active (duplicate replay): just advance the cursor
-            skipped += 1
-            cur_fp = rec.fingerprint
-            continue
+    replayed = 0
+    for rec in records[skipped:]:
         if rec.base != cur_fp:
             raise RecoveryError(
                 f"record seq {rec.seq} applies to {rec.base} but replay "

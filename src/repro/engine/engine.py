@@ -1421,9 +1421,11 @@ class SpatialQueryEngine:
         """The chain's journal, created (with its base checkpoint) lazily.
 
         Caller holds the chain's root lock.  A pre-existing journal
-        whose newest record the registry has never seen is *ahead* of
-        this process -- appending would fork its history, so the append
-        path refuses until :meth:`recover` has replayed it.
+        whose newest record is not the registry's chain head is *ahead*
+        of this process -- appending would fork its history, so the
+        append path refuses until :meth:`recover` has replayed it.
+        (Membership anywhere in the chain is not enough: the newest
+        record may recreate an older version's content.)
         """
         journal = self._journals.get(cur.root)
         if journal is None:
@@ -1434,8 +1436,7 @@ class SpatialQueryEngine:
                 observer=self.stats.record_wal_event)
             try:
                 last_fp = journal.last_fingerprint
-                if last_fp is not None \
-                        and self.registry.version_of(last_fp) < 0:
+                if last_fp is not None and last_fp != cur.fingerprint:
                     raise JournalError(
                         f"journal for {cur.root} holds unreplayed records "
                         f"(head {last_fp}); run recover() before mutating")

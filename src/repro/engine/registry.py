@@ -43,9 +43,11 @@ both tiers; older versions are collected -- datasets, cached indexes,
 and store entries -- unless :meth:`pin`\\ ned by an in-flight read, in
 which case collection is deferred to the last :meth:`unpin`.
 
-:meth:`apply_update` keeps the legacy eager semantics (register the new
-dataset, invalidate the old fingerprint's indexes in both tiers) for
-callers that bypass the version chain.
+A chain may hold one fingerprint at several positions: a commit that
+recreates earlier content (insert rows, then delete exactly those rows)
+is still a new version.  A fingerprint's position is its *latest* one,
+and retention never collects a fingerprint that also sits in the
+retained tail.
 """
 
 from __future__ import annotations
@@ -125,6 +127,14 @@ class VersionInfo:
     version: int       # 0-based position in the chain
     fingerprint: str   # content fingerprint of this version
     num_lines: int
+
+
+def _position(chain: List[str], fingerprint: str) -> int:
+    """Latest index of ``fingerprint`` in ``chain`` (-1: absent)."""
+    for i in range(len(chain) - 1, -1, -1):
+        if chain[i] == fingerprint:
+            return i
+    return -1
 
 
 def _next_pow2(x: float) -> int:
@@ -284,7 +294,7 @@ class IndexRegistry:
             for fp, arr in self._datasets.items():
                 root = self._roots.get(fp, fp)
                 chain = self._chains.get(root, [fp])
-                version = chain.index(fp) if fp in chain else -1
+                version = _position(chain, fp)
                 rows.append({"fingerprint": fp,
                              "num_lines": int(arr.shape[0]),
                              "domain": int(self._domains[fp]),
@@ -301,8 +311,7 @@ class IndexRegistry:
             root = self._roots.pop(fingerprint, None)
             chain = self._chains.get(root) if root is not None else None
             if chain is not None:
-                if fingerprint in chain:
-                    chain.remove(fingerprint)
+                chain[:] = [fp for fp in chain if fp != fingerprint]
                 if not chain:
                     self._chains.pop(root, None)
         self.invalidate(fingerprint)
@@ -330,15 +339,23 @@ class IndexRegistry:
                                int(self._datasets[cur].shape[0]))
 
     def version_of(self, fingerprint: str) -> int:
-        """Chain position of this exact content fingerprint (-1: unknown)."""
+        """Latest chain position of this exact content fingerprint
+        (-1: unknown, or staged but never activated)."""
         with self._lock:
             root = self._roots.get(fingerprint)
             if root is None:
                 return -1
-            try:
-                return self._chains[root].index(fingerprint)
-            except ValueError:
-                return -1   # staged but never activated
+            return _position(self._chains[root], fingerprint)
+
+    def chain(self, fingerprint: str) -> List[str]:
+        """A copy of the version chain ``fingerprint`` belongs to,
+        oldest first (index = version)."""
+        with self._lock:
+            root = self._roots.get(fingerprint)
+            if root is None:
+                raise KeyError(
+                    f"unknown dataset fingerprint {fingerprint!r}")
+            return list(self._chains[root])
 
     def pin(self, fingerprint: str) -> None:
         """Hold a version's data live for an in-flight read."""
@@ -416,11 +433,17 @@ class IndexRegistry:
             if root is None:
                 raise KeyError(f"unknown staged fingerprint {fingerprint!r}")
             chain = self._chains[root]
-            if fingerprint not in chain:
+            if chain[-1] != fingerprint:
+                # a staged version always differs from the head, but may
+                # equal an older version's content: it still appends
                 chain.append(fingerprint)
                 self.versions_committed += 1
-            retired = [fp for fp in chain[:-self.versions_retained]
-                       if fp in self._datasets]
+            tail = set(chain[-self.versions_retained:])
+            # a fingerprint back in the tail is live again, pinned or not
+            self._doomed -= tail
+            retired = [fp for fp in dict.fromkeys(
+                chain[:-self.versions_retained])
+                if fp not in tail and fp in self._datasets]
             pinned = [fp for fp in retired if self._pins.get(fp, 0) > 0]
             self._doomed.update(pinned)
         for fp in retired:
@@ -462,9 +485,17 @@ class IndexRegistry:
         """
         with self._lock:
             root = self._roots.get(fingerprint)
-            if root is None or fingerprint in self._chains.get(root, ()):
+            if root is None:
                 return
-            self._roots.pop(fingerprint, None)
+            chain = self._chains.get(root, ())
+            if fingerprint in chain[-self.versions_retained:]:
+                return
+            if fingerprint not in chain:
+                self._roots.pop(fingerprint, None)
+            elif self._pins.get(fingerprint, 0) > 0:
+                return
+            # fresh content, or earlier content re-registered by the
+            # staging after retention had collected it
             self._repair_hints.pop(fingerprint, None)
             self._datasets.pop(fingerprint, None)
             self._domains.pop(fingerprint, None)
@@ -770,20 +801,6 @@ class IndexRegistry:
                 # dataset block (if any) is handled by _collect/forget
                 self.arena.release_indexes(fingerprint)
             return n
-
-    def apply_update(self, fingerprint: str,
-                     update: Callable[[np.ndarray], np.ndarray]) -> str:
-        """Apply a dataset update and invalidate the stale indexes.
-
-        ``update`` maps the old segment array to the new one (e.g. a
-        vstack for inserts, a row selection for deletes -- the canonical
-        rebuild semantics of :mod:`repro.structures.dynamic`).  Returns
-        the new fingerprint.
-        """
-        old = self.dataset(fingerprint)
-        new_fp = self.register(update(old))
-        self.invalidate(fingerprint)
-        return new_fp
 
     def insert_lines(self, fingerprint: str, new_lines: np.ndarray) -> str:
         """Append segments as a new chain version; returns its fingerprint.

@@ -9,8 +9,15 @@ families:
 * the frontier is a vector of (query id, node id) pairs;
 * each round every pair tests its query window against its node's
   rectangle in one whole-array step and expands into children;
-* at the leaves, candidate (query, line) pairs are verified with one
-  vectorised exact test.
+* at the leaves, candidate (query, line) pairs pass one duplicate
+  deletion (the paper's Section 4.3 primitive: sort fused keys, drop
+  each key equal to its left neighbour) and then one vectorised exact
+  test, so q-edge clones are tested once, not once per leaf.
+
+Per-tree invariants the expansion needs (R-tree child indexes,
+quadtree subtree occupancy) are derived lazily once per tree instance
+(:attr:`RTree.child_csr`, :attr:`Quadtree.subtree_counts`), not per
+batch.
 
 Results are identical to looping the scalar ``window_query`` (a test
 invariant) but the work is whole-array per tree level -- O(height)
@@ -44,18 +51,30 @@ __all__ = [
 ]
 
 
+def _unique_pairs(qid: np.ndarray, lid: np.ndarray, num_lines: int):
+    """Duplicate deletion (paper Section 4.3) on (query, line) pairs.
+
+    Fuses each pair into one int64 key ``qid * num_lines + lid``, sorts
+    the keys, keeps every key that differs from its left neighbour and
+    splits the survivors back -- ordered by query, then line id.  PMR
+    q-edge cloning reaches a line through every leaf it crosses, so this
+    runs *before* the exact test, which then sees each pair once.
+    """
+    width = max(int(num_lines), 1)
+    key = qid.astype(np.int64, copy=False) * width + lid
+    key.sort()
+    keep = np.empty(key.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(key[1:], key[:-1], out=keep[1:])
+    return np.divmod(key[keep], width)
+
+
 def _pack_results(qid: np.ndarray, lid: np.ndarray, num_queries: int
                   ) -> List[np.ndarray]:
-    """Group verified (query, line) pairs into per-query id arrays."""
-    out: List[np.ndarray] = []
-    order = np.lexsort((lid, qid))
-    qid = qid[order]
-    lid = lid[order]
-    bounds = np.searchsorted(qid, np.arange(num_queries + 1))
-    for q in range(num_queries):
-        ids = lid[bounds[q]:bounds[q + 1]]
-        out.append(np.unique(ids))
-    return out
+    """Split sorted, duplicate-free (query, line) pairs per query."""
+    if num_queries == 0:
+        return []
+    return np.split(lid, np.searchsorted(qid, np.arange(1, num_queries)))
 
 
 def _expand_csr(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -64,17 +83,27 @@ def _expand_csr(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     The gather pattern every frontier expansion shares: one output slot
     per (pair, child) combination, computed with whole-array ops only.
     """
-    reps = np.repeat(np.arange(counts.size), counts)
-    offsets = np.arange(reps.size) - np.repeat(
-        np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-    return np.repeat(starts, counts) + offsets
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total) + np.repeat(starts - (ends - counts), counts)
+
+
+def _expand_children(csr, q: np.ndarray, n: np.ndarray):
+    """Expand (query, node) pairs into (query, child) pairs via a CSR
+    ``(order, ptr)``: node ``n``'s children are ``order[ptr[n]:ptr[n+1]]``."""
+    order, ptr = csr
+    starts = ptr[n]
+    counts = ptr[n + 1] - starts
+    return np.repeat(q, counts), order[_expand_csr(starts, counts)]
 
 
 def _leaf_pairs(tree: Quadtree, leaf_q: np.ndarray, leaf_n: np.ndarray):
     """Candidate (query, line) pairs from the lines stored at each leaf."""
-    counts = tree.node_ptr[leaf_n + 1] - tree.node_ptr[leaf_n]
-    idx = _expand_csr(tree.node_ptr[leaf_n], counts)
-    return np.repeat(leaf_q, counts), tree.node_lines[idx]
+    return _expand_children((tree.node_lines, tree.node_ptr), leaf_q, leaf_n)
+
+
+def _concat(parts: List[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
 def batch_window_query_quadtree(tree: Quadtree, rects, exact: bool = True,
@@ -102,14 +131,9 @@ def batch_window_query_quadtree(tree: Quadtree, rects, exact: bool = True,
         leaf_q = q_frontier[is_leaf]
         leaf_n = n_frontier[is_leaf]
         if leaf_q.size:
-            counts = (tree.node_ptr[leaf_n + 1] - tree.node_ptr[leaf_n])
-            reps = np.repeat(np.arange(leaf_q.size), counts)
-            starts = np.repeat(tree.node_ptr[leaf_n], counts)
-            offsets = np.arange(reps.size) - np.repeat(
-                np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-            lines = tree.node_lines[starts + offsets]
-            hit_q.append(leaf_q[reps])
-            hit_l.append(lines)
+            qid, lid = _leaf_pairs(tree, leaf_q, leaf_n)
+            hit_q.append(qid)
+            hit_l.append(lid)
         # internal: expand into all four children
         int_q = q_frontier[~is_leaf]
         int_n = n_frontier[~is_leaf]
@@ -117,10 +141,8 @@ def batch_window_query_quadtree(tree: Quadtree, rects, exact: bool = True,
         q_frontier = np.repeat(int_q, 4)
         n_frontier = tree.children[int_n].reshape(-1)
 
-    if not hit_q:
-        return [np.zeros(0, dtype=np.int64) for _ in range(nq)]
-    qid = np.concatenate(hit_q)
-    lid = np.concatenate(hit_l)
+    qid, lid = _unique_pairs(_concat(hit_q), _concat(hit_l),
+                             tree.lines.shape[0])
     if exact and qid.size:
         m.record("elementwise", qid.size)
         keep = segments_intersect_rects(tree.lines[lid], rects[qid])
@@ -150,18 +172,9 @@ def batch_window_query_rtree(tree: RTree, rects, exact: bool = True,
         if not q_frontier.size:
             break
         # expand to the children of every surviving node
-        par = tree.level_parent[level - 1]
-        order = np.argsort(par, kind="stable")
-        sorted_par = par[order]
-        starts = np.searchsorted(sorted_par, n_frontier, side="left")
-        ends = np.searchsorted(sorted_par, n_frontier, side="right")
-        counts = ends - starts
-        m.record("permute", int(counts.sum()))
-        reps = np.repeat(np.arange(q_frontier.size), counts)
-        offsets = np.arange(reps.size) - np.repeat(
-            np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-        q_frontier = q_frontier[reps]
-        n_frontier = order[np.repeat(starts, counts) + offsets]
+        q_frontier, n_frontier = _expand_children(
+            tree.child_csr[level - 1], q_frontier, n_frontier)
+        m.record("permute", q_frontier.size)
 
     if not q_frontier.size:
         return [np.zeros(0, dtype=np.int64) for _ in range(nq)]
@@ -173,16 +186,7 @@ def batch_window_query_rtree(tree: RTree, rects, exact: bool = True,
     if not q_frontier.size:
         return [np.zeros(0, dtype=np.int64) for _ in range(nq)]
 
-    leaf_order = np.argsort(tree.line_leaf, kind="stable")
-    sorted_leaf = tree.line_leaf[leaf_order]
-    starts = np.searchsorted(sorted_leaf, n_frontier, side="left")
-    ends = np.searchsorted(sorted_leaf, n_frontier, side="right")
-    counts = ends - starts
-    reps = np.repeat(np.arange(q_frontier.size), counts)
-    offsets = np.arange(reps.size) - np.repeat(
-        np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-    qid = q_frontier[reps]
-    lid = leaf_order[np.repeat(starts, counts) + offsets]
+    qid, lid = _expand_children(tree.leaf_csr, q_frontier, n_frontier)
     if qid.size:
         m.record("elementwise", qid.size)
         keep = overlaps(tree.entry_bbox[lid], rects[qid])
@@ -193,7 +197,8 @@ def batch_window_query_rtree(tree: RTree, rects, exact: bool = True,
         keep = segments_intersect_rects(tree.lines[lid], rects[qid])
         qid = qid[keep]
         lid = lid[keep]
-    return _pack_results(qid, lid, nq)
+    # R-tree pairs are already unique (one leaf per line); this sorts them
+    return _pack_results(*_unique_pairs(qid, lid, tree.lines.shape[0]), nq)
 
 
 # -- point probes ---------------------------------------------------------
@@ -244,9 +249,8 @@ def batch_point_query_quadtree(tree: Quadtree, points, strict: bool = True,
                                        tree.domain)
         q_frontier = cq[keep]
         n_frontier = cn[keep]
-    if not hit_q:
-        return [np.zeros(0, dtype=np.int64) for _ in range(nq)]
-    return _pack_results(np.concatenate(hit_q), np.concatenate(hit_l), nq)
+    return _pack_results(*_unique_pairs(_concat(hit_q), _concat(hit_l),
+                                        tree.lines.shape[0]), nq)
 
 
 def batch_point_query_rtree(tree: RTree, points, exact: bool = True,
@@ -269,10 +273,11 @@ def batch_point_query_rtree(tree: RTree, points, exact: bool = True,
 
 def _reduce_nearest(qid: np.ndarray, lid: np.ndarray, dist: np.ndarray,
                     nq: int) -> List[Optional[tuple]]:
-    """Per-query ``(line id, distance)`` minimising distance then id."""
-    out: List[Optional[tuple]] = [None] * nq
-    if not qid.size:
-        return out
+    """Per-query ``(line id, distance)`` minimising distance then id.
+
+    Keeps the pairs at their query's minimum distance, then one lexsort
+    by (query, id): the first pair of each query's group is its answer.
+    """
     best = np.full(nq, np.inf)
     np.minimum.at(best, qid, dist)
     at_best = dist <= best[qid]
@@ -280,23 +285,12 @@ def _reduce_nearest(qid: np.ndarray, lid: np.ndarray, dist: np.ndarray,
     lid = lid[at_best]
     order = np.lexsort((lid, qid))
     qid = qid[order]
-    lid = lid[order]
-    firsts = np.searchsorted(qid, np.arange(nq))
-    for q in range(nq):
-        if firsts[q] < qid.size and qid[firsts[q]] == q:
-            out[q] = (int(lid[firsts[q]]), float(best[q]))
-    return out
-
-
-def _subtree_counts(tree: Quadtree) -> np.ndarray:
-    """Number of q-edges stored in each node's subtree (levels upward)."""
-    counts = np.diff(tree.node_ptr).astype(np.int64)
-    if tree.num_nodes <= 1:
-        return counts
-    for lev in range(int(tree.level.max()), 0, -1):
-        sel = np.flatnonzero(tree.level == lev)
-        np.add.at(counts, tree.parent[sel], counts[sel])
-    return counts
+    first = np.ones(qid.size, dtype=bool)
+    np.not_equal(qid[1:], qid[:-1], out=first[1:])
+    best_l = np.full(nq, -1, dtype=np.int64)
+    best_l[qid[first]] = lid[order][first]
+    return [(l, d) if l >= 0 else None
+            for l, d in zip(best_l.tolist(), best.tolist())]
 
 
 def batch_nearest_quadtree(tree: Quadtree, points,
@@ -319,7 +313,7 @@ def batch_nearest_quadtree(tree: Quadtree, points,
         return []
     if tree.lines.shape[0] == 0:
         raise ValueError("empty tree has no nearest line")
-    occupancy = _subtree_counts(tree)
+    occupancy = tree.subtree_counts
     bound = np.full(nq, np.inf)
     hit_q: List[np.ndarray] = []
     hit_l: List[np.ndarray] = []
@@ -361,10 +355,8 @@ def batch_nearest_quadtree(tree: Quadtree, points,
         nonempty = occupancy[cn] > 0
         q_frontier = cq[nonempty]
         n_frontier = cn[nonempty]
-    qid = np.concatenate(hit_q) if hit_q else np.zeros(0, dtype=np.int64)
-    lid = np.concatenate(hit_l) if hit_l else np.zeros(0, dtype=np.int64)
     dist = np.concatenate(hit_d) if hit_d else np.zeros(0)
-    out = _reduce_nearest(qid, lid, dist, nq)
+    out = _reduce_nearest(_concat(hit_q), _concat(hit_l), dist, nq)
     assert all(r is not None for r in out), "non-empty tree must answer"
     return out  # type: ignore[return-value]
 
@@ -401,13 +393,9 @@ def batch_nearest_rtree(tree: RTree, points,
         n_frontier = n_frontier[alive]
         if not q_frontier.size:
             break
-        par = tree.level_parent[level - 1]
-        order = np.argsort(par, kind="stable")
-        starts = np.searchsorted(par[order], n_frontier, side="left")
-        counts = np.searchsorted(par[order], n_frontier, side="right") - starts
-        m.record("permute", int(counts.sum()))
-        q_frontier = np.repeat(q_frontier, counts)
-        n_frontier = order[_expand_csr(starts, counts)]
+        q_frontier, n_frontier = _expand_children(
+            tree.child_csr[level - 1], q_frontier, n_frontier)
+        m.record("permute", q_frontier.size)
     if not q_frontier.size:  # pragma: no cover - non-empty trees always reach leaves
         raise ValueError("tree holds no lines")
     # leaf level: prune leaves, then their entries, then exact distances
@@ -421,12 +409,7 @@ def batch_nearest_rtree(tree: RTree, points,
     q_frontier = q_frontier[alive]
     n_frontier = n_frontier[alive]
 
-    leaf_order = np.argsort(tree.line_leaf, kind="stable")
-    sorted_leaf = tree.line_leaf[leaf_order]
-    starts = np.searchsorted(sorted_leaf, n_frontier, side="left")
-    counts = np.searchsorted(sorted_leaf, n_frontier, side="right") - starts
-    qid = np.repeat(q_frontier, counts)
-    lid = leaf_order[_expand_csr(starts, counts)]
+    qid, lid = _expand_children(tree.leaf_csr, q_frontier, n_frontier)
     if qid.size:
         m.record("elementwise", qid.size)
         entry_lb = points_rects_distance(pts[qid], tree.entry_bbox[lid])

@@ -15,6 +15,7 @@ out at 1x1 blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -138,6 +139,20 @@ class Quadtree:
     @property
     def height(self) -> int:
         return int(self.level.max(initial=0))
+
+    @cached_property
+    def subtree_counts(self) -> np.ndarray:
+        """Number of q-edges stored in each node's subtree.
+
+        Summed level by level upward, once per tree instance (batch
+        nearest kernels prune empty children with it); not part of the
+        ``io`` payload.
+        """
+        counts = np.diff(self.node_ptr).astype(np.int64)
+        for lev in range(self.height, 0, -1):
+            sel = np.flatnonzero(self.level == lev)
+            np.add.at(counts, self.parent[sel], counts[sel])
+        return counts
 
     @property
     def q_edge_count(self) -> int:

@@ -26,7 +26,8 @@ enclosing its members.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Literal, Optional
+from functools import cached_property
+from typing import List, Literal, Optional, Tuple
 
 import numpy as np
 
@@ -81,6 +82,27 @@ class RTree:
 
     def lines_in_leaf(self, leaf: int) -> np.ndarray:
         return np.flatnonzero(self.line_leaf == leaf)
+
+    # -- derived child indexes (lazy, per instance, never serialised) ----
+
+    @cached_property
+    def child_csr(self) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Per level ``l``, the CSR ``(order, ptr)`` inverting
+        ``level_parent[l]``: the level-``l`` children of level-``l+1``
+        node ``j`` are ``order[ptr[j]:ptr[j+1]]``, in index order.
+
+        Derived once per tree instance so batch kernels find children
+        with two lookups instead of re-sorting the parent pointers on
+        every batch; not part of the ``io`` payload.
+        """
+        return [_invert_parent(par, self.level_mbr[lvl + 1].shape[0])
+                for lvl, par in enumerate(self.level_parent)]
+
+    @cached_property
+    def leaf_csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """CSR ``(order, ptr)`` inverting ``line_leaf``: leaf ``j``
+        holds lines ``order[ptr[j]:ptr[j+1]]`` (see :attr:`child_csr`)."""
+        return _invert_parent(self.line_leaf, self.num_leaves)
 
     # -- queries ---------------------------------------------------------
 
@@ -198,6 +220,16 @@ class RTree:
                         f"coverage={_rect.area(mbr).sum():g}, "
                         f"overlap={self.total_overlap(lvl):g}")
         return "\n".join(rows)
+
+
+def _invert_parent(parent: np.ndarray, num_parents: int
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR ``(order, ptr)`` of a parent-pointer array: a stable sort by
+    parent plus one ``ptr`` slot per parent (``ptr[j]`` counts the
+    members whose parent is below ``j``)."""
+    order = np.argsort(parent, kind="stable")
+    ptr = np.searchsorted(parent[order], np.arange(num_parents + 1))
+    return order, ptr
 
 
 def _grouped_view(parent_ids: np.ndarray, m: Machine) -> tuple[np.ndarray, Segments]:

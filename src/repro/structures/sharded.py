@@ -39,7 +39,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..geometry.distance import points_rects_distance, points_rects_max_distance
+from ..geometry.distance import points_rects_distance
 from ..geometry.rect import overlaps, validate_rects
 from ..machine import Machine
 from ..resilience import PartialResult
@@ -238,25 +238,6 @@ class ShardedIndex:
         flat_p = np.repeat(pts, K, axis=0)
         flat_r = np.tile(mbrs, (B, 1))
         return points_rects_distance(flat_p, flat_r).reshape(B, K).T
-
-    def plan_nearest(self, points: np.ndarray) -> np.ndarray:
-        """``(K, B)`` mask keeping shards that can beat the min-max bound.
-
-        Every shard is non-empty, so the max corner distance of each
-        shard MBR upper-bounds that shard's nearest answer; a shard
-        whose lower bound exceeds the minimum upper bound over all
-        shards cannot win for that query.
-        """
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        K, B = self.num_shards, pts.shape[0]
-        if K == 0 or B == 0:
-            return np.zeros((K, B), dtype=bool)
-        mbrs = self.shard_mbrs()
-        flat_p = np.repeat(pts, K, axis=0)
-        flat_r = np.tile(mbrs, (B, 1))
-        lb = points_rects_distance(flat_p, flat_r).reshape(B, K).T
-        ub = points_rects_max_distance(flat_p, flat_r).reshape(B, K).T
-        return lb <= ub.min(axis=0)[None, :]
 
     def query_shard_batch(self, k: int, kind: str, payloads: np.ndarray,
                           exact: bool = True,

@@ -187,6 +187,33 @@ class TestStoreTiers:
                 assert snap["disk_hits"] == 0
 
 
+class TestRecreatedContentReplay:
+    def test_insert_then_delete_replays_to_the_same_head(self, tmp_path):
+        """Version 2 recreates version 0's content (same fingerprint):
+        replay must apply that record, not skip it as already active."""
+        lines = seeded_lines()
+        n = lines.shape[0]
+        rows = random_segments(8, domain=DOMAIN, max_len=30, seed=9)
+        with make_engine(tmp_path) as eng:
+            fp = eng.register(lines, domain=DOMAIN)
+            inserted = eng.insert_lines(fp, rows)
+            assert eng.delete_lines(fp, np.arange(n, n + 8)) == fp
+            assert eng.registry.resolve(fp).version == 2
+        with make_engine(tmp_path) as eng2:
+            (rep,) = eng2.recover()
+            assert (rep.records_replayed, rep.records_skipped) == (2, 0)
+            assert (rep.fingerprint, rep.version) == (fp, 2)
+            assert eng2.registry.chain(fp) == [fp, inserted, fp]
+            got = sorted(eng2.window(fp, RECT).tolist())
+            assert got == sorted(brute_window_query(lines, RECT).tolist())
+            (again,) = eng2.recover()
+            assert (again.records_replayed, again.records_skipped) == (0, 2)
+            assert (again.fingerprint, again.version) == (fp, 2)
+            # the recovered chain keeps committing on top of the replay
+            assert eng2.insert_lines(fp, rows) == inserted
+            assert eng2.registry.resolve(fp).version == 3
+
+
 class TestRecoveryRefusals:
     def test_missing_checkpoint_is_a_recovery_error(self, tmp_path):
         with make_engine(tmp_path) as eng:

@@ -221,3 +221,52 @@ def test_live_server_interleaved_reads_and_writes():
         seen_versions.add(resp["version"])
     # the reads pipelined before the insert must have bound version 0
     assert 0 in seen_versions
+
+
+class TestRecreatedContent:
+    """A commit whose content equals an earlier version is a new version.
+
+    Insert 8 rows, then delete exactly those rows: the second commit
+    recreates version 0's content (the same fingerprint).  It must still
+    append version 2 and flip reads to it -- acking ``deleted=8`` while
+    the inserted rows stay readable would be a lost write.
+    """
+
+    RECT = (0.0, 0.0, DOMAIN, DOMAIN)
+
+    def _insert_then_delete(self, eng, lines):
+        n = lines.shape[0]
+        rows = random_segments(8, DOMAIN, 30, seed=77)
+        fp = eng.register(lines, domain=DOMAIN)
+        first = eng.submit_insert(fp, rows)
+        eng.flush()
+        first = first.result(timeout=30)
+        second = eng.submit_delete(fp, np.arange(n, n + 8))
+        eng.flush()
+        return fp, rows, first, second.result(timeout=30)
+
+    @pytest.mark.parametrize("retained", [1, 2])
+    def test_delete_of_inserted_rows_commits_a_new_version(self, retained):
+        lines = random_segments(120, DOMAIN, 40, seed=13)
+        n = lines.shape[0]
+        with SpatialQueryEngine(workers=2, max_batch=8, max_wait=0.001,
+                                versions_retained=retained) as eng:
+            fp, rows, first, second = self._insert_then_delete(eng, lines)
+            assert (first.version, first.num_lines) == (1, n + 8)
+            assert second.deleted == 8
+            assert (second.version, second.num_lines) == (2, n)
+            assert second.fingerprint == fp          # version 0's content
+            head = eng.registry.resolve(fp)
+            assert (head.version, head.fingerprint) == (2, fp)
+            assert eng.registry.version_of(fp) == 2
+            got = eng.window(fp, self.RECT)
+            assert got.max() < n                     # inserted rows gone
+            assert np.array_equal(np.sort(got),
+                                  brute_window_query(lines, self.RECT))
+            # and forward again: version 3 recreates version 1's content
+            third = eng.submit_insert(fp, rows)
+            eng.flush()
+            third = third.result(timeout=30)
+            assert (third.version, third.fingerprint) == (3, first.fingerprint)
+            want = brute_window_query(np.vstack([lines, rows]), self.RECT)
+            assert np.array_equal(np.sort(eng.window(fp, self.RECT)), want)

@@ -157,3 +157,50 @@ class TestCorruptionIsolation:
         got = np.unique(built_new.tree.window_query(
             np.array([0.0, 0.0, DOMAIN, DOMAIN])))
         assert lines.shape[0] in got.tolist()   # the inserted row serves
+
+
+class TestRecreatedContentRetention:
+    """A version recreating earlier content (same fingerprint) is live.
+
+    Chain ``[A, B, A]``: the head ``A`` also sits at version 0, outside
+    a one-version window.  Retention must collect ``B`` only.
+    """
+
+    def _aba(self, reg):
+        lines = segs(4)
+        n = lines.shape[0]
+        a = reg.register(lines, domain=DOMAIN)
+        b = reg.mutate(a, insert=np.array([[1.0, 2.0, 30.0, 40.0]]))
+        again = reg.mutate(a, delete_ids=[n])
+        return a, b.fingerprint, again
+
+    def test_head_is_not_collected_with_its_old_position(self):
+        reg = IndexRegistry(capacity=4, versions_retained=1)
+        a, b, again = self._aba(reg)
+        assert (again.fingerprint, again.version) == (a, 2)
+        assert reg.chain(a) == [a, b, a]
+        assert reg.resolve(b).fingerprint == a
+        assert reg.dataset(a) is not None            # the head survives
+        with pytest.raises(KeyError):
+            reg.dataset(b)                           # only B retires
+        assert reg.get(a, "pmr").num_lines == segs(4).shape[0]
+
+    def test_pinned_old_position_is_not_reaped_once_it_is_head(self):
+        reg = IndexRegistry(capacity=4, versions_retained=1)
+        lines = segs(4)
+        a = reg.register(lines, domain=DOMAIN)
+        reg.pin(a)                                   # in-flight read of A
+        b = reg.mutate(a, insert=np.array([[1.0, 2.0, 30.0, 40.0]]))
+        assert reg.dataset(a) is not None            # doomed, still pinned
+        reg.mutate(a, delete_ids=[lines.shape[0]])   # A is head again
+        reg.unpin(a)                                 # must not collect it
+        assert reg.resolve(a).fingerprint == a
+        assert reg.dataset(a) is not None
+        with pytest.raises(KeyError):
+            reg.dataset(b.fingerprint)
+
+    def test_wider_window_keeps_both(self):
+        reg = IndexRegistry(capacity=4, versions_retained=2)
+        a, b, again = self._aba(reg)
+        assert reg.dataset(a) is not None and reg.dataset(b) is not None
+        assert reg.versions_collected == 0

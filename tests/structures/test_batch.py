@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.brute import brute_window_query
 from repro.geometry import clustered_map, random_segments
 from repro.machine import Machine
 from repro.structures import (
@@ -20,6 +21,9 @@ from repro.structures import (
     quadtree_nearest,
     rtree_nearest,
 )
+from repro.structures.io import (load_structure, payload_checksum,
+                                 payload_to_tree, save_structure,
+                                 structure_payload)
 
 DOMAIN = 512
 
@@ -258,3 +262,158 @@ def test_fuzz_batch_consensus(seed):
     got_r = batch_window_query_rtree(rt, rects)
     for a, b in zip(got_q, got_r):
         assert np.array_equal(a, b)
+
+
+# -- duplicate deletion and per-tree child indexes ------------------------
+
+
+@pytest.fixture(scope="module")
+def cloned():
+    """A clustered map whose bucket PMR clones every line many times
+    (capacity 4 over dense clusters), plus its R-tree and windows
+    anchored on the data."""
+    segs = clustered_map(1500, clusters=4, spread=40, domain=DOMAIN,
+                         max_len=40, seed=21)
+    pmr, _ = build_bucket_pmr(segs, DOMAIN, 4)
+    rt, _ = build_rtree(segs, 2, 8)
+    rng = np.random.default_rng(5)
+    mid = (segs[:, :2] + segs[:, 2:]) / 2
+    c = mid[rng.integers(0, len(segs), 48)]
+    rects = np.hstack([c - 24.0, c + 24.0])
+    return segs, pmr, rt, rects
+
+
+class TestDuplicateDeletion:
+    """Candidates pass one duplicate deletion before the exact test."""
+
+    def test_heavy_cloning_window_batch_matches_scalar_and_brute(self, cloned):
+        segs, pmr, rt, rects = cloned
+        assert pmr.q_edge_count > 20 * len(segs)      # heavy q-edge cloning
+        for tree, batch in ((pmr, batch_window_query_quadtree),
+                            (rt, batch_window_query_rtree)):
+            got = batch(tree, rects)
+            assert len(got) == len(rects)
+            for ids, r in zip(got, rects):
+                assert ids.dtype == np.int64
+                assert np.all(np.diff(ids) > 0)        # ascending, no repeats
+                assert np.array_equal(ids, np.unique(tree.window_query(r)))
+                assert np.array_equal(ids, brute_window_query(segs, r))
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_candidate_semantics_follow_the_scalar_filter(self, cloned, exact):
+        _, pmr, rt, rects = cloned
+        for tree, batch in ((pmr, batch_window_query_quadtree),
+                            (rt, batch_window_query_rtree)):
+            for ids, r in zip(batch(tree, rects, exact=exact), rects):
+                want = np.unique(tree.window_query(r, exact=exact))
+                assert ids.dtype == np.int64
+                assert np.array_equal(ids, want)
+
+    def test_inexact_is_a_superset_of_exact(self, cloned):
+        _, pmr, _, rects = cloned
+        loose = batch_window_query_quadtree(pmr, rects, exact=False)
+        tight = batch_window_query_quadtree(pmr, rects)
+        assert sum(a.size for a in loose) > sum(a.size for a in tight)
+        for a, b in zip(loose, tight):
+            assert np.isin(b, a).all()
+
+    def test_empty_and_all_miss_batches(self, cloned):
+        _, pmr, rt, _ = cloned
+        miss = np.array([[600.0, 600.0, 700.0, 700.0],
+                         [-50.0, -50.0, -10.0, -10.0]])
+        for tree, batch in ((pmr, batch_window_query_quadtree),
+                            (rt, batch_window_query_rtree)):
+            assert batch(tree, np.zeros((0, 4))) == []
+            for exact in (True, False):
+                got = batch(tree, miss, exact=exact)
+                assert len(got) == 2
+                assert all(g.size == 0 and g.dtype == np.int64 for g in got)
+
+    def test_scan_model_steps_are_pinned(self, cloned):
+        """Dedup and packing are bookkeeping, not scan-model rounds: the
+        step counts of a fixed seeded batch stay where they were."""
+        _, pmr, rt, rects = cloned
+        pts = np.random.default_rng(6).uniform(0, DOMAIN, (32, 2))
+        cases = [
+            (batch_window_query_quadtree, pmr, rects,
+             21.0, {"elementwise": 11, "permute": 10}),
+            (batch_window_query_rtree, rt, rects,
+             11.0, {"elementwise": 7, "permute": 4}),
+            (batch_nearest_quadtree, pmr, pts,
+             45.0, {"elementwise": 18, "permute": 9, "scan": 18}),
+            (batch_nearest_rtree, rt, pts,
+             16.0, {"elementwise": 7, "permute": 4, "scan": 5}),
+        ]
+        for batch, tree, payload, steps, counts in cases:
+            m = Machine()
+            batch(tree, payload, machine=m)
+            assert (m.steps, m.counts) == (steps, counts), batch.__name__
+
+
+def _old_children(parent, nodes):
+    """The per-batch expansion the kernels used to run: stable argsort
+    of the parent pointers, then two searchsorted calls."""
+    order = np.argsort(parent, kind="stable")
+    lo = np.searchsorted(parent[order], nodes, side="left")
+    hi = np.searchsorted(parent[order], nodes, side="right")
+    return [order[a:b] for a, b in zip(lo, hi)]
+
+
+def _old_subtree_counts(tree):
+    counts = np.diff(tree.node_ptr).astype(np.int64)
+    for lev in range(int(tree.level.max(initial=0)), 0, -1):
+        sel = np.flatnonzero(tree.level == lev)
+        np.add.at(counts, tree.parent[sel], counts[sel])
+    return counts
+
+
+class TestDerivedIndexes:
+    """``child_csr``/``leaf_csr``/``subtree_counts`` are derived lazily
+    per tree instance and equal the old per-batch derivation -- on built
+    trees, ``io``-loaded trees and shared-memory payload trees."""
+
+    @staticmethod
+    def _copies(tree, tmp_path):
+        path = str(tmp_path / f"{type(tree).__name__}.npz")
+        save_structure(tree, path)
+        return [tree, load_structure(path),
+                payload_to_tree(structure_payload(tree))]
+
+    def _check_rtree(self, rt):
+        for lvl, par in enumerate(rt.level_parent):
+            order, ptr = rt.child_csr[lvl]
+            nodes = np.arange(rt.level_mbr[lvl + 1].shape[0])
+            want = _old_children(par, nodes)
+            assert [order[ptr[j]:ptr[j + 1]].tolist() for j in nodes] \
+                == [w.tolist() for w in want]
+        order, ptr = rt.leaf_csr
+        leaves = np.arange(rt.num_leaves)
+        want = _old_children(rt.line_leaf, leaves)
+        assert [order[ptr[j]:ptr[j + 1]].tolist() for j in leaves] \
+            == [w.tolist() for w in want]
+
+    def test_rtree_child_indexes(self, cloned, tmp_path):
+        _, _, rt, _ = cloned
+        for tree in self._copies(rt, tmp_path):
+            self._check_rtree(tree)
+        small, _ = build_rtree(random_segments(3, DOMAIN, 48, seed=1), 1, 4)
+        self._check_rtree(small)                  # single-leaf tree
+
+    def test_quadtree_subtree_counts(self, cloned, tmp_path):
+        _, pmr, _, _ = cloned
+        for tree in self._copies(pmr, tmp_path):
+            assert np.array_equal(tree.subtree_counts,
+                                  _old_subtree_counts(tree))
+
+    def test_derived_once_and_never_serialised(self, cloned):
+        _, pmr, rt, _ = cloned
+        for tree, names in ((rt, ("child_csr", "leaf_csr")),
+                            (pmr, ("subtree_counts",))):
+            fresh = type(tree)(**{f: getattr(tree, f)
+                                  for f in tree.__dataclass_fields__})
+            before = structure_payload(fresh)
+            for name in names:
+                assert getattr(fresh, name) is getattr(fresh, name)
+            after = structure_payload(fresh)
+            assert sorted(before) == sorted(after)
+            assert payload_checksum(before) == payload_checksum(after)
