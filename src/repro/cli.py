@@ -416,12 +416,12 @@ def _serve_listen(args: argparse.Namespace) -> int:
                     print(f"drain: {args.drain_timeout}s budget spent, "
                           f"cancelled the stragglers", flush=True)
             finally:
+                await server.close()
                 serve.cancel()
                 try:
                     await serve
                 except (asyncio.CancelledError, Exception):
                     pass
-                await server.close()
                 for sig in handled:
                     loop.remove_signal_handler(sig)
 

@@ -1,4 +1,15 @@
-"""Process-pool worker: shared-nothing index serving over picklable jobs.
+"""The job protocol: picklable job specs, one op table, two job states.
+
+Every unit of engine work -- a batch, a shard sub-batch, a join batch,
+a brute-force fallback, a warm-up -- is a :class:`JobSpec` run by
+:func:`execute` through the op table ``_OPS``, on both executor
+backends.  The ops reach their trees and datasets through two
+accessors on a job *state*, ``tree(ref)`` and ``lines(ref)``:
+
+* :class:`InProcessState` (thread backend) answers them from the
+  parent's :class:`~repro.engine.registry.IndexRegistry`;
+* ``_WorkerState`` (process backend, one per pool worker) answers them
+  by materialising the index in the worker, below.
 
 The process backend never ships a built tree across the process
 boundary.  A job crosses as a :class:`JobSpec` -- fingerprint-addressed
@@ -44,8 +55,8 @@ must pickle.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -70,7 +81,7 @@ from ..structures.sharded import ShardedIndex, sharded_join
 from .registry import IndexRegistry
 
 __all__ = ["FAMILY", "IndexRef", "JobSpec", "WorkerResult", "NeedDataset",
-           "batch_kernel", "run_job"]
+           "InProcessState", "batch_kernel", "execute", "run_job"]
 
 #: structure name -> tree family used to pick the batch kernels
 FAMILY = {"pmr": "quadtree", "pm1": "quadtree", "rtree": "rtree"}
@@ -88,8 +99,8 @@ def _degenerate_rects(points) -> np.ndarray:
 def batch_kernel(structure: str, kind: str, exact: bool):
     """The vectorized batch kernel for one (structure, kind) pair.
 
-    Shared by the thread engine and the process workers so both
-    backends run literally the same code path per batch.
+    The ``batch`` op's kernel table on both backends (the thread
+    backend reaches it through ``repro.engine.engine.batch_kernel``).
     """
     family = FAMILY[structure]
     if kind == "window":
@@ -134,7 +145,7 @@ class IndexRef:
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One unit of work crossing the process boundary.
+    """One unit of work, on either backend.
 
     ``op`` selects the kernel: ``batch`` (one vectorized pass),
     ``shard`` (one per-shard sub-batch of a fan-out), ``join`` (a batch
@@ -160,16 +171,15 @@ class JobSpec:
     handles: Tuple[ShmHandle, ...] = ()
     crash: bool = False
     brute: bool = False
-    #: dataset chain version the job's index fingerprint was resolved
-    #: at -- pinned so a worker's accounting and any future
-    #: version-aware materialisation can name the snapshot it served
-    version: int = -1
 
 
 @dataclass(frozen=True)
 class WorkerResult:
-    """A job's answer plus the worker-side accounting that rides along.
+    """A job's answer plus the accounting that rides along.
 
+    ``values``/``steps``/``primitives`` come from every job; the rest
+    is process-worker accounting (the thread backend leaves it at the
+    defaults).
     ``faults`` lists the (site, kind) pairs the worker-side injector
     fired during this job (the parent replays them into its stats);
     ``warm_loads``/``cold_builds`` count index materialisations done
@@ -209,9 +219,50 @@ class NeedDataset(Exception):
         return (NeedDataset, (self.fingerprints,))
 
 
+class InProcessState:
+    """Job state of the thread backend: the parent's registry, in process.
+
+    ``tree(ref)`` is one ``registry.get`` -- the same hit/miss
+    accounting and ``registry.get`` fault site as any parent lookup --
+    and ``lines(ref)`` the registered dataset.  A fan-out's shard jobs
+    run over a state bound to the :class:`ShardedIndex` their dispatch
+    already resolved and planned over (``sharded``): no second lookup,
+    and no eviction race onto a different decomposition.  ``kernel``
+    is the engine's batch-kernel lookup.  The job fault sites fire
+    here with every kind: there is no parent/worker split to honour.
+    """
+
+    fault_kinds = None
+
+    def __init__(self, registry: IndexRegistry,
+                 injector: Optional[FaultInjector], kernel: Callable,
+                 sharded: Optional[ShardedIndex] = None):
+        self.registry = registry
+        self.injector = injector
+        self.kernel = kernel
+        self.sharded = sharded
+
+    def bind(self, sharded: ShardedIndex) -> "InProcessState":
+        """This state, serving ``sharded`` to every ``tree`` call."""
+        return InProcessState(self.registry, self.injector, self.kernel,
+                              sharded)
+
+    def tree(self, ref: IndexRef):
+        if self.sharded is not None:
+            return self.sharded
+        return self.registry.get(ref.fingerprint, ref.structure,
+                                 **dict(ref.params)).tree
+
+    def lines(self, ref: IndexRef) -> np.ndarray:
+        return self.registry.dataset(ref.fingerprint)
+
+
 @dataclass
 class _WorkerState:
     """Per-process caches and counters (module-global, one per worker)."""
+
+    #: a worker evaluates only the sleep kinds (module docstring)
+    fault_kinds: ClassVar[Tuple[str, ...]] = WORKER_FAULT_KINDS
 
     store: Optional[IndexStore]
     injector: Optional[FaultInjector]
@@ -228,6 +279,45 @@ class _WorkerState:
     jobs: int = 0
     job_warm: int = 0
     job_cold: int = 0
+
+    def tree(self, ref: IndexRef):
+        """Cache -> shm payload -> read-only store -> rebuild, in order."""
+        key_id = store_key_id(ref)
+        tree = self.trees.get(key_id)
+        if tree is not None:
+            return tree
+        handle = self.payload_handles.get(key_id)
+        if handle is not None:
+            tree = _attach_tree(self, key_id, handle)
+            if tree is not None:
+                self.trees[key_id] = tree
+                self.job_warm += 1
+                return tree
+        if self.store is not None:
+            probe = self.store.get(ref)
+            if probe is not None:
+                tree = probe[0]
+                self.trees[key_id] = tree
+                self.job_warm += 1
+                return tree
+        lines, domain = self._snapshot(ref)
+        builder = IndexRegistry.BUILDERS[ref.structure]
+        tree = builder(lines, domain, **dict(ref.params))
+        self.trees[key_id] = tree
+        self.job_cold += 1
+        return tree
+
+    def lines(self, ref: IndexRef) -> np.ndarray:
+        return self._snapshot(ref)[0]
+
+    def kernel(self, structure: str, kind: str, exact: bool):
+        return batch_kernel(structure, kind, exact)
+
+    def _snapshot(self, ref: IndexRef) -> Tuple[np.ndarray, int]:
+        snap = self.datasets.get(ref.fingerprint)
+        if snap is None:
+            raise NeedDataset((ref.fingerprint,))
+        return snap
 
 
 _STATE: Optional[_WorkerState] = None
@@ -258,10 +348,11 @@ def _register_handle(state: _WorkerState, handle: ShmHandle) -> None:
 
     Dataset arrays are attached eagerly (one mapping per worker, reused
     by every later job); index payloads are only recorded here and
-    mapped on first use in :func:`_materialize`.  Any attach failure --
-    the parent released the block between pickling the spec and the
-    worker opening it -- falls through silently to the store / rebuild
-    / :class:`NeedDataset` paths, which remain correct without shm.
+    mapped on first use in :meth:`_WorkerState.tree`.  Any attach
+    failure -- the parent released the block between pickling the spec
+    and the worker opening it -- falls through silently to the store /
+    rebuild / :class:`NeedDataset` paths, which remain correct without
+    shm.
     """
     if handle.tag.startswith(DATASET_PREFIX):
         fingerprint = handle.tag[len(DATASET_PREFIX):]
@@ -297,44 +388,6 @@ def _attach_tree(state: _WorkerState, key_id: str,
     state.attachments[handle.tag] = att
     state.job_attached.append(handle.tag)
     return tree
-
-
-def _materialize(state: _WorkerState, ref: IndexRef):
-    """Cache -> shm payload -> read-only store -> rebuild, in that order."""
-    key_id = store_key_id(ref)
-    tree = state.trees.get(key_id)
-    if tree is not None:
-        return tree
-    handle = state.payload_handles.get(key_id)
-    if handle is not None:
-        tree = _attach_tree(state, key_id, handle)
-        if tree is not None:
-            state.trees[key_id] = tree
-            state.job_warm += 1
-            return tree
-    if state.store is not None:
-        probe = state.store.get(ref)
-        if probe is not None:
-            tree = probe[0]
-            state.trees[key_id] = tree
-            state.job_warm += 1
-            return tree
-    snap = state.datasets.get(ref.fingerprint)
-    if snap is None:
-        raise NeedDataset((ref.fingerprint,))
-    lines, domain = snap
-    builder = IndexRegistry.BUILDERS[ref.structure]
-    tree = builder(lines, domain, **dict(ref.params))
-    state.trees[key_id] = tree
-    state.job_cold += 1
-    return tree
-
-
-def _dataset(state: _WorkerState, ref: IndexRef) -> np.ndarray:
-    snap = state.datasets.get(ref.fingerprint)
-    if snap is None:
-        raise NeedDataset((ref.fingerprint,))
-    return snap[0]
 
 
 def _preflight(state: _WorkerState, spec: JobSpec) -> None:
@@ -378,20 +431,20 @@ def _preflight(state: _WorkerState, spec: JobSpec) -> None:
         raise NeedDataset(missing)
 
 
-def _op_batch(state: _WorkerState, spec: JobSpec, machine: Machine):
-    tree = _materialize(state, spec.index)
-    fn = batch_kernel(spec.index.structure, spec.kind, spec.exact)
+def _op_batch(state, spec: JobSpec, machine: Machine):
+    tree = state.tree(spec.index)
+    fn = state.kernel(spec.index.structure, spec.kind, spec.exact)
     return fn(tree, spec.payloads, machine)
 
 
-def _op_shard(state: _WorkerState, spec: JobSpec, machine: Machine):
-    sharded: ShardedIndex = _materialize(state, spec.index)
+def _op_shard(state, spec: JobSpec, machine: Machine):
+    sharded: ShardedIndex = state.tree(spec.index)
     return sharded.query_shard_batch(
         spec.shard, spec.kind, spec.payloads, exact=spec.exact,
         machine=machine, flat=spec.kind != "nearest")
 
 
-def _op_join(state: _WorkerState, spec: JobSpec, machine: Machine):
+def _op_join(state, spec: JobSpec, machine: Machine):
     """A batch of joins: per-pair ``("ok", pairs)`` / ``("err", exc)``.
 
     Per-pair outcomes (not one shared exception) so one failing pair
@@ -402,11 +455,10 @@ def _op_join(state: _WorkerState, spec: JobSpec, machine: Machine):
     for ref_a, ref_b in spec.pairs:
         try:
             if spec.brute:
-                pairs = brute_join(_dataset(state, ref_a),
-                                   _dataset(state, ref_b))
+                pairs = brute_join(state.lines(ref_a), state.lines(ref_b))
             else:
-                ta = _materialize(state, ref_a)
-                tb = _materialize(state, ref_b)
+                ta = state.tree(ref_a)
+                tb = state.tree(ref_b)
                 if isinstance(ta, ShardedIndex) or isinstance(tb, ShardedIndex):
                     pairs = sharded_join(ta, tb)
                 else:
@@ -422,8 +474,8 @@ def _op_join(state: _WorkerState, spec: JobSpec, machine: Machine):
     return out
 
 
-def _op_brute(state: _WorkerState, spec: JobSpec, machine: Machine):
-    lines = _dataset(state, spec.index)
+def _op_brute(state, spec: JobSpec, machine: Machine):
+    lines = state.lines(spec.index)
     if spec.kind == "window":
         return [brute_window_query(lines, r) for r in spec.payloads]
     if spec.kind == "point":
@@ -433,13 +485,32 @@ def _op_brute(state: _WorkerState, spec: JobSpec, machine: Machine):
             for p in spec.payloads]
 
 
-def _op_warm(state: _WorkerState, spec: JobSpec, machine: Machine):
-    _materialize(state, spec.index)
+def _op_warm(state, spec: JobSpec, machine: Machine):
+    state.tree(spec.index)
     return None
 
 
 _OPS = {"batch": _op_batch, "shard": _op_shard, "join": _op_join,
         "brute": _op_brute, "warm": _op_warm}
+
+
+def execute(state, spec: JobSpec, machine: Machine) -> WorkerResult:
+    """Run one job under ``machine``: the body both backends share.
+
+    The thread backend calls it as ``fn(machine)`` over an
+    :class:`InProcessState`; :func:`run_job` calls it in a pool worker
+    after its preflight.  The job's fault sites fire through the
+    state's injector, limited to the state's ``fault_kinds``.
+    """
+    if state.injector is not None:
+        state.injector.fire("executor.job", only_kinds=state.fault_kinds)
+        if spec.op == "shard":
+            state.injector.fire("shard.query", only_kinds=state.fault_kinds,
+                                shard=spec.shard, kind=spec.kind)
+    values = _OPS[spec.op](state, spec, machine)
+    return WorkerResult(values=values, steps=machine.steps,
+                        primitives=machine.total_primitives,
+                        pid=os.getpid())
 
 
 def run_job(spec: JobSpec) -> WorkerResult:
@@ -467,18 +538,8 @@ def run_job(spec: JobSpec) -> WorkerResult:
     _preflight(state, spec)
     machine = Machine()
     with use_machine(machine):
-        if state.injector is not None:
-            state.injector.fire("executor.job",
-                                only_kinds=WORKER_FAULT_KINDS)
-            if spec.op == "shard":
-                state.injector.fire("shard.query",
-                                    only_kinds=WORKER_FAULT_KINDS,
-                                    shard=spec.shard, kind=spec.kind)
-        values = _OPS[spec.op](state, spec, machine)
-    return WorkerResult(values=values, steps=machine.steps,
-                        primitives=machine.total_primitives,
-                        pid=os.getpid(), faults=tuple(state.fired),
-                        warm_loads=state.job_warm,
-                        cold_builds=state.job_cold,
-                        jobs=state.jobs, cached_trees=len(state.trees),
-                        shm_attached=tuple(state.job_attached))
+        result = execute(state, spec, machine)
+    return replace(result, faults=tuple(state.fired),
+                   warm_loads=state.job_warm, cold_builds=state.job_cold,
+                   jobs=state.jobs, cached_trees=len(state.trees),
+                   shm_attached=tuple(state.job_attached))

@@ -2,15 +2,18 @@
 
 The fast cells exercise pure in-process surfaces -- config validation,
 picklability of the job protocol, the read-only store contract, the
-injector's ``only_kinds`` split -- and stay in tier-1.  The
+injector's ``only_kinds`` split, the thread side of the accounting
+parity plan -- and stay in tier-1.  The
 ``slow``-marked cells each spin up a real process pool (forkserver or
 spawn, ~seconds apiece) and run in CI's process-backend job: dataset
 shipping, store warm start, spill-once close, and the two crash
 stories (budgeted crashes recover; persistent crashes trip the breaker
-without ever hanging a batch).
+without ever hanging a batch), and the process side of the accounting
+parity plan.
 """
 
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +22,9 @@ from repro.engine import (CircuitOpenError, EngineConfig, EngineError,
                           IndexRef, JobSpec, NeedDataset, SpatialQueryEngine,
                           WorkerCrashError)
 from repro.geometry import random_segments
-from repro.resilience import FaultInjector, FaultPlan, FaultSpec
+from repro.baselines.brute import brute_point_query, brute_window_query
+from repro.resilience import (FaultInjector, FaultPlan, FaultSpec,
+                              InjectedFault)
 from repro.store import IndexStore
 from repro.structures import brute_join, brute_nearest, build_bucket_pmr
 
@@ -42,6 +47,87 @@ def make_engine(backend, **kw):
     kw.setdefault("max_wait", 0.3)
     kw.setdefault("workers", 2)
     return SpatialQueryEngine(executor=backend, **kw)
+
+
+# -- failure accounting: one fault plan, both backends --------------------
+
+#: what the parity plan must leave in ``snapshot()`` on either backend:
+#: after one clean batch (it starts the pool), the first failure is
+#: refused, the second trips the breaker and its batch is re-served
+#: brute-force, probes while open go brute at submit, and the
+#: half-open probe after the reset closes the circuit
+PARITY_COUNTERS = {
+    "batches": {"brute:point": 1, "brute:nearest": 1, "brute:join": 1,
+                "pmr:window": 2, "pmr:join": 1},
+    "fallbacks": 3, "failed": 1,
+    "breaker_trips": 1, "breaker_half_opens": 1, "breaker_closes": 1,
+    "breaker_fast_fails": 0,
+    "faults_injected": {"registry.get": 2},
+}
+
+
+def run_parity_plan(backend, shards):
+    """Drive the ``registry.get`` error x2 plan; ``(answers, counters)``."""
+    plan = FaultPlan(specs=(
+        FaultSpec(site="registry.get", kind="error", times=2, after=1),))
+    lines = np.unique(random_segments(120, DOMAIN, 48, seed=21), axis=0)
+    rect = np.array([40.0, 60.0, 300.0, 280.0])
+    mid = lines[7].reshape(2, 2).mean(axis=0)    # on segment 7
+    with make_engine(backend, fault_plan=plan, shards=shards, workers=1,
+                     breaker_threshold=2, breaker_reset=1.0,
+                     brute_fallback=True, max_wait=0.002) as eng:
+        fp = eng.register(lines, domain=DOMAIN)
+
+        def settle(fut):
+            eng.flush()
+            try:
+                return fut.result(120)
+            except InjectedFault as exc:
+                return type(exc).__name__
+
+        answers = [settle(eng.submit_window(fp, rect)),   # clean
+                   settle(eng.submit_window(fp, rect)),   # failure 1
+                   settle(eng.submit_point(fp, mid))]     # 2: trip, brute
+        assert eng.breakers.state(fp) == "open"
+        # while open: brute-force at submit
+        answers.append(settle(eng.submit_nearest(fp, (250.0, 250.0))))
+        answers.append(settle(eng.submit_join(fp, fp)))
+        time.sleep(1.1)     # past the reset: the half-open probe heals
+        answers.append(settle(eng.submit_window(fp, rect)))
+        answers.append(settle(eng.submit_join(fp, fp)))
+        snap = eng.snapshot()
+    want = [brute_window_query(lines, rect), "InjectedFault",
+            brute_point_query(lines, *mid),
+            brute_nearest(lines, 250.0, 250.0), brute_join(lines, lines),
+            brute_window_query(lines, rect), brute_join(lines, lines)]
+    for got, exp in zip(answers, want):
+        if isinstance(exp, np.ndarray):
+            assert np.array_equal(np.sort(got, axis=0), np.sort(exp, axis=0))
+        else:
+            assert got == exp
+    counters = {k: snap[k] for k in PARITY_COUNTERS if k != "batches"}
+    counters["batches"] = {name: int(per["batches"])
+                           for name, per in snap["per_index"].items()}
+    return answers, counters
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_thread_failure_accounting_matches_the_parity_plan(shards):
+    _, counters = run_parity_plan("thread", shards)
+    assert counters == PARITY_COUNTERS
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("shards", [1, 4])
+def test_process_failure_accounting_matches_thread(shards):
+    thread_answers, thread_counters = run_parity_plan("thread", shards)
+    answers, counters = run_parity_plan("process", shards)
+    assert counters == thread_counters == PARITY_COUNTERS
+    for t, p in zip(thread_answers, answers):
+        if isinstance(t, np.ndarray):
+            assert np.array_equal(t, p)
+        else:
+            assert t == p
 
 
 # -- fast: config + protocol surfaces (no pool) --------------------------
@@ -124,9 +210,11 @@ def test_join_identical_across_backends():
 
 @pytest.mark.slow
 def test_dataset_ships_once_per_worker():
+    # the arena off: with it on, warm() publishes the index to shared
+    # memory and nothing ships at all (tests/shm covers that case)
     lines = np.unique(random_segments(100, DOMAIN, 64, seed=5), axis=0)
     rects = windows(12, 6)
-    with make_engine("process") as eng:
+    with make_engine("process", shm_budget_bytes=0) as eng:
         fp = eng.register(lines, domain=DOMAIN)
         eng.warm(fp)
         first = [eng.submit_window(fp, r) for r in rects]

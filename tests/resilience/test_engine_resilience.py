@@ -179,6 +179,26 @@ class TestCircuitBreaker:
             assert eng.breakers.state(fp_b) == "closed"
 
 
+    def test_executor_job_errors_feed_the_breaker(self):
+        """A batch whose job fails (here: an injected ``executor.job``
+        error) counts against its dataset's breaker like a failed
+        index lookup, on either backend."""
+        plan = FaultPlan(specs=(
+            FaultSpec(site="executor.job", kind="error", times=2),))
+        lines = segments(seed=10)
+        with self._engine(plan, breaker_threshold=2) as eng:
+            fp = eng.register(lines, domain=DOMAIN)
+            for _ in range(2):
+                fut = eng.submit_window(fp, FULL)
+                eng.flush()
+                with pytest.raises(InjectedFault):
+                    fut.result(10)
+            assert eng.breakers.state(fp) == "open"
+            snap = eng.snapshot()
+            assert snap["breaker_trips"] == 1 and snap["failed"] == 2
+            assert snap["faults_injected"] == {"executor.job": 2}
+
+
 class TestBruteFallback:
     def test_open_breaker_serves_brute_force_answers(self):
         """With brute_fallback on, an open circuit degrades to a raw
