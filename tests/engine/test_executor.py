@@ -2,11 +2,16 @@
 
 import threading
 from concurrent.futures import TimeoutError as FutureTimeoutError
+from functools import partial
 
 import pytest
 
 from repro.engine import BoundedExecutor, RejectedError
+from repro.engine.registry import IndexRegistry
+from repro.engine.worker import (InProcessState, IndexRef, JobSpec,
+                                 batch_kernel, execute)
 from repro.errors import EngineError
+from repro.geometry import random_segments
 from repro.resilience import FaultPlan, FaultSpec, InjectedFault
 from repro.resilience.faults import FaultInjector
 
@@ -108,15 +113,27 @@ class TestBackpressure:
 
 class TestInjection:
     def test_injected_job_fault_propagates_through_future(self):
+        """The executor.job site fires inside the shared job body
+        (worker.execute), so on the thread backend an injected fault
+        surfaces through the job's future like any job error."""
         inj = FaultInjector(FaultPlan(specs=(
             FaultSpec(site="executor.job", kind="error", times=1),)))
-        ex = BoundedExecutor(workers=1, queue_depth=4, injector=inj)
+        registry = IndexRegistry()
+        lines = random_segments(20, 64, 16, seed=1)
+        fp = registry.register(lines, domain=64)
+        state = InProcessState(registry, inj, kernel=batch_kernel)
+        spec = JobSpec(op="brute", kind="point",
+                       index=IndexRef(fp, "pmr", (), 64),
+                       payloads=lines[:3, :2].copy())
+        ex = BoundedExecutor(workers=1, queue_depth=4)
         try:
-            fut = ex.submit(lambda m: "ok")
+            fut = ex.submit(partial(execute, state, spec))
             with pytest.raises(InjectedFault):
                 fut.result(5)
-            # budget spent: the pool itself is healthy again
-            assert ex.submit(lambda m: "ok").result(5) == "ok"
+            # budget spent: the same job now runs to its answer
+            res = ex.submit(partial(execute, state, spec)).result(5)
+            assert len(res.values) == 3
+            assert all(len(v) >= 1 for v in res.values)
         finally:
             ex.shutdown()
 
@@ -126,7 +143,6 @@ class TestEngineTimeoutAccounting:
         """Engine-level view: a saturated pool surfaces as RejectedError
         reasons and record_timeout() counts, never as silent queueing."""
         from repro.engine import SpatialQueryEngine
-        from repro.geometry import random_segments
 
         release = threading.Event()
         lines = random_segments(60, 256, 32, seed=3)
@@ -161,3 +177,34 @@ class TestEngineTimeoutAccounting:
             assert snap["rejected"].get("queue_full", 0) >= 2
             assert snap["timeouts"] == 1
             assert snap["cancels"] >= 1
+
+
+class TestSubmitFromWorker:
+    def test_full_queue_runs_a_callback_job_on_the_worker(self):
+        """A job submitted from a pool worker (a done callback's brute
+        re-serve) that finds the queue full runs on that worker: a nap
+        there would stall the only thread that drains the queue."""
+        from repro.baselines.brute import brute_point_query
+        from repro.engine import SpatialQueryEngine
+
+        lines = random_segments(60, 256, 32, seed=3)
+        with SpatialQueryEngine(workers=1, queue_depth=1,
+                                retry_attempts=3) as eng:
+            fp = eng.register(lines, domain=256)
+            probes = lines[:4, :2].copy()
+            spec = JobSpec(op="brute", kind="point",
+                           index=eng._index_ref(eng._index_key(fp, None)),
+                           payloads=probes)
+            release = threading.Event()
+
+            def on_worker(machine):
+                eng._executor.submit(lambda m: release.wait(5))  # fills it
+                try:
+                    return eng._submit_spec(spec).result(0)
+                finally:
+                    release.set()
+
+            wr = eng._executor.submit(on_worker).result(5)
+            for (x, y), got in zip(probes, wr.values):
+                assert list(got) == list(brute_point_query(lines, x, y))
+            assert eng.stats.snapshot()["retries_total"] == 0
